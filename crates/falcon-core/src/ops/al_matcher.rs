@@ -25,7 +25,7 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
+use std::ops::Range;
 use std::time::Duration;
 
 /// Active-learning configuration.
@@ -98,48 +98,86 @@ fn seed_score(fv: &[f64], higher: &[bool]) -> f64 {
 }
 
 /// Score disagreement of every unlabeled pair on the cluster; returns
-/// `(index, disagreement)` plus the (simulated) duration of the job.
+/// `(index, disagreement)` in index order plus the (simulated) duration of
+/// the job. `labeled[i]` marks pair `i` as excluded.
 fn score_disagreement(
     cluster: &Cluster,
     forest: &Forest,
     fvs: &FvSet,
-    labeled: &HashSet<usize>,
+    labeled: &[bool],
 ) -> Result<(Vec<(usize, f64)>, Duration), FalconError> {
-    // Each split carries one whole index chunk as a single record, so the
-    // map task scores the chunk with the compiled forest's batch kernel
-    // instead of pointer-chasing `Node`s one vector at a time. The scoped
-    // dataflow workers borrow the flat forest and vectors directly — no
-    // per-iteration clones.
+    // Each split carries one index range as a single record, so the map
+    // task scores the range with the compiled forest's batch kernel
+    // instead of pointer-chasing `Node`s one vector at a time. Ranges are
+    // cut so each holds an equal share of the unlabeled pairs; the task
+    // votes on its whole range (labeled pairs are a few hundred) and
+    // emits only the unlabeled ones. The scoped dataflow workers borrow
+    // the flat forest and vectors directly — no per-iteration clones.
     let flat = forest.flatten();
-    let idxs: Vec<usize> = (0..fvs.len()).filter(|i| !labeled.contains(i)).collect();
-    let n_idxs = idxs.len();
-    let chunk = n_idxs.div_ceil((cluster.threads() * 2).max(1)).max(1);
-    let splits: Vec<Vec<Vec<usize>>> = idxs.chunks(chunk).map(|c| vec![c.to_vec()]).collect();
-    let mut out = run_map_only(cluster, splits, |idx_chunk: &Vec<usize>, out| {
-        let gathered: Vec<(usize, &[f64])> = idx_chunk
-            .iter()
-            .filter_map(|&i| fvs.fvs.get(i).map(|fv| (i, fv.as_slice())))
-            .collect();
+    let n_unlabeled = labeled.iter().filter(|&&l| !l).count();
+    let chunk = n_unlabeled.div_ceil((cluster.threads() * 2).max(1)).max(1);
+    let splits: Vec<Vec<Range<usize>>> = unlabeled_ranges(labeled, chunk)
+        .into_iter()
+        .map(|r| vec![r])
+        .collect();
+    let mut out = run_map_only(cluster, splits, |range: &Range<usize>, out| {
+        let end = range.end.min(fvs.fvs.len());
+        let start = range.start.min(end);
+        let vectors = &fvs.fvs[start..end];
         let mut votes = Vec::new();
-        flat.count_votes_into(gathered.len(), |j| gathered[j].1, &mut votes);
+        flat.count_votes_into(vectors.len(), |j| vectors[j].as_slice(), &mut votes);
         out.extend(
-            gathered
-                .iter()
+            (start..end)
                 .zip(&votes)
-                .map(|(&(i, _), &v)| (i, flat.disagreement_from_votes(v))),
+                .filter(|&(i, _)| !labeled[i])
+                .map(|(i, &v)| (i, flat.disagreement_from_votes(v))),
         );
     })?;
-    // Chunk-as-record wrapping counted chunks; restore the true count.
-    out.stats.input_records = n_idxs;
+    // Range-as-record wrapping counted ranges; restore the true count.
+    out.stats.input_records = n_unlabeled;
     let dur = out.stats.sim_duration(&cluster.config);
     Ok((out.output, dur))
 }
 
-/// Pick the `batch` most controversial indices (ties broken by index for
-/// determinism).
+/// Cut `0..labeled.len()` into consecutive ranges that each hold `chunk`
+/// unlabeled indices, the last one the remainder. This is the split layout
+/// of chunking the list of unlabeled indices, without building that list;
+/// labeled indices ride along in whichever range covers them.
+fn unlabeled_ranges(labeled: &[bool], chunk: usize) -> Vec<Range<usize>> {
+    let mut ranges = Vec::new();
+    let (mut start, mut seen) = (0, 0);
+    for (i, &l) in labeled.iter().enumerate() {
+        if l {
+            continue;
+        }
+        seen += 1;
+        if seen == chunk {
+            ranges.push(start..i + 1);
+            start = i + 1;
+            seen = 0;
+        }
+    }
+    if seen > 0 {
+        ranges.push(start..labeled.len());
+    }
+    ranges
+}
+
+/// Pick the `batch` most controversial indices: highest disagreement
+/// first, ties broken by index for determinism. The order is total over
+/// distinct indices, so selecting the top `batch` and sorting only those
+/// gives the same list as sorting everything.
 fn top_controversial(mut scored: Vec<(usize, f64)>, batch: usize) -> Vec<usize> {
-    scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    scored.into_iter().take(batch).map(|(i, _)| i).collect()
+    let order = |a: &(usize, f64), b: &(usize, f64)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
+    if batch == 0 {
+        return Vec::new();
+    }
+    if batch < scored.len() {
+        scored.select_nth_unstable_by(batch - 1, order);
+        scored.truncate(batch);
+    }
+    scored.sort_unstable_by(order);
+    scored.into_iter().map(|(i, _)| i).collect()
 }
 
 /// Run `al_matcher` over a feature-vector set. `higher` flags which
@@ -160,7 +198,9 @@ pub fn al_matcher<C: Crowd>(
         });
     }
     let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x414c4d41);
-    let mut labeled_set: HashSet<usize> = HashSet::new();
+    // Dense labeled mask over the pair indices, plus its population.
+    let mut is_labeled = vec![false; fvs.len()];
+    let mut n_labeled = 0usize;
     let mut data = Dataset::new();
     let mut labeled: Vec<(usize, bool)> = Vec::new();
     let mut selection_time = Duration::ZERO;
@@ -172,12 +212,16 @@ pub fn al_matcher<C: Crowd>(
                        timeline: &mut Timeline,
                        data: &mut Dataset,
                        labeled: &mut Vec<(usize, bool)>,
-                       labeled_set: &mut HashSet<usize>| {
+                       is_labeled: &mut [bool],
+                       n_labeled: &mut usize| {
         let pairs: Vec<_> = idxs.iter().map(|&i| fvs.pairs[i]).collect();
         let (answers, latency) = session.label_batch(&pairs);
         timeline.crowd(label, latency);
         for (&i, (_, l)) in idxs.iter().zip(answers) {
-            labeled_set.insert(i);
+            if !is_labeled[i] {
+                is_labeled[i] = true;
+                *n_labeled += 1;
+            }
             labeled.push((i, l));
             data.push(fvs.fvs[i].clone(), l);
         }
@@ -217,7 +261,8 @@ pub fn al_matcher<C: Crowd>(
         timeline,
         &mut data,
         &mut labeled,
-        &mut labeled_set,
+        &mut is_labeled,
+        &mut n_labeled,
     );
     iterations += 1;
 
@@ -225,9 +270,7 @@ pub fn al_matcher<C: Crowd>(
     // extra rounds).
     let mut guard = 0;
     while (data.positives() == 0 || data.positives() == data.len()) && guard < 3 {
-        let mut rest: Vec<usize> = (0..fvs.len())
-            .filter(|i| !labeled_set.contains(i))
-            .collect();
+        let mut rest: Vec<usize> = (0..fvs.len()).filter(|&i| !is_labeled[i]).collect();
         if rest.is_empty() {
             break;
         }
@@ -239,7 +282,8 @@ pub fn al_matcher<C: Crowd>(
             timeline,
             &mut data,
             &mut labeled,
-            &mut labeled_set,
+            &mut is_labeled,
+            &mut n_labeled,
         );
         iterations += 1;
         guard += 1;
@@ -253,7 +297,7 @@ pub fn al_matcher<C: Crowd>(
     let mut pending: Vec<usize> = Vec::new();
     if cfg.mask_pair_selection {
         let t = wall_now();
-        let (scored, job_dur) = score_disagreement(cluster, &forest, fvs, &labeled_set)?;
+        let (scored, job_dur) = score_disagreement(cluster, &forest, fvs, &is_labeled)?;
         let picked = top_controversial(scored, cfg.batch * 2);
         let wall = t.elapsed().max(job_dur);
         selection_time += wall;
@@ -263,7 +307,7 @@ pub fn al_matcher<C: Crowd>(
         pending = picked;
     }
 
-    while iterations < cfg.max_iterations && labeled_set.len() < fvs.len() {
+    while iterations < cfg.max_iterations && n_labeled < fvs.len() {
         // Cancellation point: a scheduler-cancelled tenant stops asking
         // crowd questions between AL iterations, with its journal intact.
         check_cancel(timeline, session)?;
@@ -277,10 +321,20 @@ pub fn al_matcher<C: Crowd>(
             // the next batch (masked machine time).
             let t = wall_now();
             forest = Forest::train(&data, &cfg.forest, &mut rng);
-            let mut exclude = labeled_set.clone();
-            exclude.extend(now_batch.iter().copied());
-            exclude.extend(pending.iter().copied());
-            let (scored, job_dur) = score_disagreement(cluster, &forest, fvs, &exclude)?;
+            // Exclude the batches in flight by marking them in the mask
+            // for this one job, then unmarking exactly what was marked.
+            let mut marked = Vec::new();
+            for &i in now_batch.iter().chain(&pending) {
+                if !is_labeled[i] {
+                    is_labeled[i] = true;
+                    marked.push(i);
+                }
+            }
+            let scoring = score_disagreement(cluster, &forest, fvs, &is_labeled);
+            for &i in &marked {
+                is_labeled[i] = false;
+            }
+            let (scored, job_dur) = scoring?;
             let max_dis = scored.iter().map(|(_, d)| *d).fold(0.0f64, f64::max);
             let wall = t.elapsed().max(job_dur);
             selection_time += wall;
@@ -294,7 +348,8 @@ pub fn al_matcher<C: Crowd>(
                 timeline,
                 &mut data,
                 &mut labeled,
-                &mut labeled_set,
+                &mut is_labeled,
+                &mut n_labeled,
             );
             iterations += 1;
         } else {
@@ -302,7 +357,7 @@ pub fn al_matcher<C: Crowd>(
             // path.
             let t = wall_now();
             forest = Forest::train(&data, &cfg.forest, &mut rng);
-            let (scored, job_dur) = score_disagreement(cluster, &forest, fvs, &labeled_set)?;
+            let (scored, job_dur) = score_disagreement(cluster, &forest, fvs, &is_labeled)?;
             let max_dis = scored.iter().map(|(_, d)| *d).fold(0.0f64, f64::max);
             let batch = top_controversial(scored, cfg.batch);
             let wall = t.elapsed().max(job_dur);
@@ -318,7 +373,8 @@ pub fn al_matcher<C: Crowd>(
                 timeline,
                 &mut data,
                 &mut labeled,
-                &mut labeled_set,
+                &mut is_labeled,
+                &mut n_labeled,
             );
             iterations += 1;
         }
@@ -365,6 +421,50 @@ mod tests {
 
     fn cluster() -> Cluster {
         Cluster::new(ClusterConfig::small(2)).with_threads(2)
+    }
+
+    /// The full-sort selection `top_controversial` replaced.
+    fn top_by_full_sort(mut scored: Vec<(usize, f64)>, batch: usize) -> Vec<usize> {
+        scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        scored.into_iter().take(batch).map(|(i, _)| i).collect()
+    }
+
+    #[test]
+    fn top_controversial_equals_full_sort() {
+        // Heavy ties (five distinct scores, including both zeros), indices
+        // out of order, and batch sizes from 0 to past the input length.
+        let scored: Vec<(usize, f64)> = (0..200)
+            .map(|k| {
+                let i = (k * 7919) % 200;
+                let d = [0.5, 0.25, 0.0, -0.0, 0.4][k % 5];
+                (i, d)
+            })
+            .collect();
+        for batch in [0, 1, 2, 19, 20, 41, 199, 200, 201, 1000] {
+            assert_eq!(
+                top_controversial(scored.clone(), batch),
+                top_by_full_sort(scored.clone(), batch),
+                "batch {batch}"
+            );
+        }
+        assert!(top_controversial(Vec::new(), 5).is_empty());
+    }
+
+    #[test]
+    fn unlabeled_ranges_hold_equal_unlabeled_shares() {
+        let labeled: Vec<bool> = (0..23).map(|i| i % 4 == 0 || i == 22).collect();
+        let unlabeled: Vec<usize> = (0..23).filter(|&i| !labeled[i]).collect();
+        for chunk in [1, 2, 5, 16, 17, 40] {
+            let ranges = unlabeled_ranges(&labeled, chunk);
+            let cut: Vec<Vec<usize>> = ranges
+                .iter()
+                .map(|r| r.clone().filter(|&i| !labeled[i]).collect())
+                .collect();
+            let want: Vec<Vec<usize>> = unlabeled.chunks(chunk).map(<[usize]>::to_vec).collect();
+            assert_eq!(cut, want, "chunk {chunk}");
+            assert!(ranges.windows(2).all(|w| w[0].end == w[1].start));
+        }
+        assert!(unlabeled_ranges(&[true, true], 1).is_empty());
     }
 
     #[test]

@@ -6,6 +6,7 @@ use crate::fv::FvSet;
 use falcon_dataflow::{run_map_only, Cluster, JobStats};
 use falcon_forest::Forest;
 use falcon_table::IdPair;
+use std::ops::Range;
 
 /// Output of `apply_matcher`.
 #[derive(Debug)]
@@ -22,35 +23,31 @@ pub fn apply_matcher(
     forest: &Forest,
     fvs: &FvSet,
 ) -> Result<ApplyMatcherOutput, FalconError> {
-    // Each split carries one whole index chunk as a single record, so the
-    // map task predicts the chunk with the compiled forest's batch kernel;
-    // the scoped dataflow workers borrow the flat forest and vectors
-    // directly instead of cloning them.
+    // Each split carries one index range as a single record, so the map
+    // task predicts the range with the compiled forest's batch kernel; the
+    // scoped dataflow workers borrow the flat forest and vectors directly
+    // instead of cloning them.
     let flat = forest.flatten();
     let n_pairs = fvs.len();
     let chunk = n_pairs.div_ceil((cluster.threads() * 2).max(1)).max(1);
-    let splits: Vec<Vec<Vec<usize>>> = (0..n_pairs)
-        .collect::<Vec<_>>()
-        .chunks(chunk)
-        .map(|c| vec![c.to_vec()])
+    let splits: Vec<Vec<Range<usize>>> = (0..n_pairs)
+        .step_by(chunk)
+        .map(|start| start..(start + chunk).min(n_pairs))
+        .map(|range| vec![range])
         .collect();
-    let mut out = run_map_only(cluster, splits, |idx_chunk: &Vec<usize>, out| {
-        let gathered: Vec<(&IdPair, &[f64])> = idx_chunk
-            .iter()
-            .filter_map(|&i| match (fvs.pairs.get(i), fvs.fvs.get(i)) {
-                (Some(pair), Some(fv)) => Some((pair, fv.as_slice())),
-                _ => None,
-            })
-            .collect();
+    let mut out = run_map_only(cluster, splits, |range: &Range<usize>, out| {
+        let end = range.end.min(fvs.fvs.len());
+        let start = range.start.min(end);
+        let vectors = &fvs.fvs[start..end];
         let mut votes = Vec::new();
-        flat.count_votes_into(gathered.len(), |j| gathered[j].1, &mut votes);
-        for ((pair, _), &v) in gathered.iter().zip(&votes) {
+        flat.count_votes_into(vectors.len(), |j| vectors[j].as_slice(), &mut votes);
+        for (pair, &v) in fvs.pairs[start..end].iter().zip(&votes) {
             if flat.predict_from_votes(v) {
-                out.push(**pair);
+                out.push(*pair);
             }
         }
     })?;
-    // Chunk-as-record wrapping counted chunks; restore the true count.
+    // Range-as-record wrapping counted ranges; restore the true count.
     out.stats.input_records = n_pairs;
     let mut matches = out.output;
     matches.sort_unstable();

@@ -30,7 +30,7 @@ pub mod paths;
 pub mod tree;
 
 pub use eval::{confusion, f1_score, Confusion};
-pub use flat::{FlatForest, FLAT_LEAF};
+pub use flat::{FlatForest, FLAT_LEAF, VOTE_BLOCK};
 pub use forest::{default_threads, Forest, ForestConfig};
 pub use importance::{feature_importance, feature_importance_flat};
 pub use paths::{NegativePath, PathPredicate, SplitOp};

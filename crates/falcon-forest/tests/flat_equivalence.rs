@@ -7,8 +7,10 @@
 //!    does not match the training arity.
 //! 2. Presorted-sweep training must produce the same forest as the rescan
 //!    reference for the same seed, at any thread count.
+//! 3. Block-wise vote counting equals per-vector `Node` votes at and
+//!    around the block boundary.
 
-use falcon_forest::{Dataset, Forest, ForestConfig, TreeConfig};
+use falcon_forest::{Dataset, Forest, ForestConfig, TreeConfig, VOTE_BLOCK};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -113,5 +115,45 @@ proptest! {
         let fast = Forest::train_threads(&d, &cfg, &mut SmallRng::seed_from_u64(seed), threads);
         let reference = Forest::train_reference(&d, &cfg, &mut SmallRng::seed_from_u64(seed));
         prop_assert_eq!(fast, reference);
+    }
+}
+
+/// `count_votes_into` walks vectors in blocks of `VOTE_BLOCK` with trees
+/// inside; every count must equal the number of `Node`-walking trees that
+/// vote positive, for empty input, one vector, one short of and one past
+/// a block, and several blocks with a ragged tail.
+#[test]
+fn blocked_votes_equal_per_vector_votes() {
+    let mut d = Dataset::new();
+    for i in 0..200 {
+        let x = (i * 37 % 101) as f64 / 101.0;
+        let y = (i * 11 % 17) as f64 / 17.0;
+        d.push(vec![x, y, x * y], x + 0.3 * y > 0.6);
+    }
+    let forest = Forest::train(&d, &small_forest(), &mut SmallRng::seed_from_u64(5));
+    let flat = forest.flatten();
+    let queries: Vec<Vec<f64>> = (0..3000)
+        .map(|j| {
+            let x = (j * 7919 % 1000) as f64 / 1000.0;
+            let y = (j * 104_729 % 997) as f64 / 997.0;
+            if j % 13 == 0 {
+                vec![x, f64::NAN]
+            } else {
+                vec![x, y, x - y]
+            }
+        })
+        .collect();
+    let mut votes = vec![99; 7];
+    for n in [0, 1, VOTE_BLOCK - 1, VOTE_BLOCK + 1, 3000] {
+        flat.count_votes_into(n, |j| queries[j].as_slice(), &mut votes);
+        assert_eq!(votes.len(), n);
+        for (j, &v) in votes.iter().enumerate() {
+            let want = forest
+                .trees
+                .iter()
+                .filter(|t| t.predict(&queries[j]))
+                .count();
+            assert_eq!(v as usize, want, "n = {n}, vector {j}");
+        }
     }
 }

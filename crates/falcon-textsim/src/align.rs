@@ -5,108 +5,138 @@
 //! Scores use match = +1, mismatch = -1, gap open/extend penalties as noted,
 //! normalized by the length of the shorter string so results land in
 //! `[0, 1]` (negative raw scores clamp to 0).
+//!
+//! The DPs run in exact integer units. Match +1, mismatch -1 and gap -1 are
+//! already integers; Smith-Waterman-Gotoh's open -1 and extend -0.5 become
+//! -2 and -1 in doubled units (match and mismatch +2/-2), and the raw score
+//! is halved before normalizing. Every cell of the `f64` formulation is a
+//! small integer or half-integer, exactly representable, so the integer
+//! DP reaches the same raw score and the normalized result is bit-identical.
+//!
+//! Each DP row runs in two passes. The first takes the moves that read only
+//! the previous row (diagonal and vertical); it has no loop-carried
+//! dependency and vectorizes. The second folds in the horizontal move, the
+//! row's only left-to-right dependency, with one `max` per cell. Integer
+//! `max` is associative, so regrouping the terms cannot change a cell.
 
-const MATCH: f64 = 1.0;
-const MISMATCH: f64 = -1.0;
-const GAP: f64 = -1.0;
-const GAP_OPEN: f64 = -1.0;
-const GAP_EXTEND: f64 = -0.5;
+use crate::scratch::{by_units, reset, Work};
 
-fn score(a: char, b: char) -> f64 {
+/// Gotoh's unreachable gap state (`-inf` in the `f64` formulation). Scores
+/// are never below zero, so `h - 2` beats it wherever both are compared,
+/// and it is at most decremented once, so it cannot overflow.
+const NO_GAP: i32 = i32::MIN / 2;
+
+/// Score of aligning two units, in units of the match score.
+#[inline]
+fn score<T: Eq>(a: &T, b: &T) -> i32 {
     if a == b {
-        MATCH
+        1
     } else {
-        MISMATCH
+        -1
+    }
+}
+
+/// `raw / min(|a|, |b|)` clamped to `[0, 1]`.
+fn normalize(raw: f64, la: usize, lb: usize) -> f64 {
+    (raw / la.min(lb) as f64).clamp(0.0, 1.0)
+}
+
+/// `Some(score)` when one side is empty: 1 for two empty strings, else 0.
+fn empty_score(la: usize, lb: usize) -> Option<f64> {
+    if la == 0 || lb == 0 {
+        Some(if la == 0 && lb == 0 { 1.0 } else { 0.0 })
+    } else {
+        None
     }
 }
 
 /// Needleman-Wunsch global alignment score, normalized to `[0, 1]`.
 pub fn needleman_wunsch_sim(a: &str, b: &str) -> f64 {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    if a.is_empty() || b.is_empty() {
-        return if a.is_empty() && b.is_empty() {
-            1.0
-        } else {
-            0.0
-        };
+    by_units(a, b, needleman_wunsch_units, needleman_wunsch_units)
+}
+
+fn needleman_wunsch_units<T: Eq>(a: &[T], b: &[T], w: &mut Work) -> f64 {
+    if let Some(s) = empty_score(a.len(), b.len()) {
+        return s;
     }
-    let mut prev: Vec<f64> = (0..=b.len()).map(|j| j as f64 * GAP).collect();
-    let mut cur = vec![0.0; b.len() + 1];
+    let (h, t) = (&mut w.h, &mut w.t);
+    h.clear();
+    h.extend((0..=b.len() as i32).map(|j| -j));
+    reset(t, b.len(), 0);
     for (i, ca) in a.iter().enumerate() {
-        cur[0] = (i + 1) as f64 * GAP;
-        for (j, cb) in b.iter().enumerate() {
-            cur[j + 1] = (prev[j] + score(*ca, *cb))
-                .max(prev[j + 1] + GAP)
-                .max(cur[j] + GAP);
+        // Diagonal and vertical moves read only the previous row.
+        for ((tj, hj), cb) in t.iter_mut().zip(h.windows(2)).zip(b) {
+            *tj = (hj[0] + score(ca, cb)).max(hj[1] - 1);
         }
-        std::mem::swap(&mut prev, &mut cur);
+        let mut left = -(i as i32 + 1);
+        h[0] = left;
+        for (hj, &tj) in h[1..].iter_mut().zip(t.iter()) {
+            left = tj.max(left - 1);
+            *hj = left;
+        }
     }
-    let raw = prev[b.len()];
-    (raw / a.len().min(b.len()) as f64).clamp(0.0, 1.0)
+    normalize(f64::from(h[b.len()]), a.len(), b.len())
 }
 
 /// Smith-Waterman local alignment score, normalized to `[0, 1]`.
 pub fn smith_waterman_sim(a: &str, b: &str) -> f64 {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    if a.is_empty() || b.is_empty() {
-        return if a.is_empty() && b.is_empty() {
-            1.0
-        } else {
-            0.0
-        };
+    by_units(a, b, smith_waterman_units, smith_waterman_units)
+}
+
+fn smith_waterman_units<T: Eq>(a: &[T], b: &[T], w: &mut Work) -> f64 {
+    if let Some(s) = empty_score(a.len(), b.len()) {
+        return s;
     }
-    let mut prev = vec![0.0f64; b.len() + 1];
-    let mut cur = vec![0.0f64; b.len() + 1];
-    let mut best = 0.0f64;
-    for ca in &a {
-        for (j, cb) in b.iter().enumerate() {
-            cur[j + 1] = (prev[j] + score(*ca, *cb))
-                .max(prev[j + 1] + GAP)
-                .max(cur[j] + GAP)
-                .max(0.0);
-            best = best.max(cur[j + 1]);
+    let (h, t) = (&mut w.h, &mut w.t);
+    reset(h, b.len() + 1, 0);
+    reset(t, b.len(), 0);
+    let mut best = 0;
+    for ca in a {
+        for ((tj, hj), cb) in t.iter_mut().zip(h.windows(2)).zip(b) {
+            *tj = (hj[0] + score(ca, cb)).max(hj[1] - 1).max(0);
         }
-        std::mem::swap(&mut prev, &mut cur);
+        let mut left = 0;
+        for (hj, &tj) in h[1..].iter_mut().zip(t.iter()) {
+            left = tj.max(left - 1);
+            *hj = left;
+            best = best.max(left);
+        }
     }
-    (best / a.len().min(b.len()) as f64).clamp(0.0, 1.0)
+    normalize(f64::from(best), a.len(), b.len())
 }
 
 /// Smith-Waterman-Gotoh: local alignment with affine gap penalties
 /// (open -1, extend -0.5), normalized to `[0, 1]`.
 pub fn smith_waterman_gotoh_sim(a: &str, b: &str) -> f64 {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    if a.is_empty() || b.is_empty() {
-        return if a.is_empty() && b.is_empty() {
-            1.0
-        } else {
-            0.0
-        };
+    by_units(a, b, smith_waterman_gotoh_units, smith_waterman_gotoh_units)
+}
+
+fn smith_waterman_gotoh_units<T: Eq>(a: &[T], b: &[T], w: &mut Work) -> f64 {
+    if let Some(s) = empty_score(a.len(), b.len()) {
+        return s;
     }
-    let n = b.len();
+    // Doubled units: match/mismatch +-2, gap open -2, gap extend -1.
     // h: best score ending at (i, j); e: gap in a; f: gap in b.
-    let mut h_prev = vec![0.0f64; n + 1];
-    let mut e_prev = vec![f64::NEG_INFINITY; n + 1];
-    let mut best = 0.0f64;
-    for ca in &a {
-        let mut h_cur = vec![0.0f64; n + 1];
-        let mut e_cur = vec![f64::NEG_INFINITY; n + 1];
-        let mut f = f64::NEG_INFINITY;
-        for (j, cb) in b.iter().enumerate() {
-            e_cur[j + 1] = (h_prev[j + 1] + GAP_OPEN).max(e_prev[j + 1] + GAP_EXTEND);
-            f = (h_cur[j] + GAP_OPEN).max(f + GAP_EXTEND);
-            h_cur[j + 1] = (h_prev[j] + score(*ca, *cb))
-                .max(e_cur[j + 1])
-                .max(f)
-                .max(0.0);
-            best = best.max(h_cur[j + 1]);
+    let (h, e, t) = (&mut w.h, &mut w.e, &mut w.t);
+    reset(h, b.len() + 1, 0);
+    reset(e, b.len(), NO_GAP);
+    reset(t, b.len(), 0);
+    let mut best = 0;
+    for ca in a {
+        for (((tj, ej), hj), cb) in t.iter_mut().zip(e.iter_mut()).zip(h.windows(2)).zip(b) {
+            *ej = (hj[1] - 2).max(*ej - 1);
+            *tj = (hj[0] + 2 * score(ca, cb)).max(*ej).max(0);
         }
-        h_prev = h_cur;
-        e_prev = e_cur;
+        let mut left = 0;
+        let mut f = NO_GAP;
+        for (hj, &tj) in h[1..].iter_mut().zip(t.iter()) {
+            f = (left - 2).max(f - 1);
+            left = tj.max(f);
+            *hj = left;
+            best = best.max(left);
+        }
     }
-    (best / a.len().min(b.len()) as f64).clamp(0.0, 1.0)
+    normalize(f64::from(best) * 0.5, a.len(), b.len())
 }
 
 #[cfg(test)]

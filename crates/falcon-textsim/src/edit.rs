@@ -1,44 +1,62 @@
 //! Character-level edit similarity measures: Levenshtein, Jaro and
 //! Jaro-Winkler.
+//!
+//! Each public function runs a generic kernel over bytes when both strings
+//! are ASCII and over decoded `char`s otherwise, in this thread's reused
+//! buffers (see `scratch.rs`).
+
+use crate::scratch::{by_units, reset, Work};
 
 /// Raw Levenshtein edit distance (unit costs), O(|a|·|b|) time and O(min)
 /// space.
 pub fn levenshtein(a: &str, b: &str) -> usize {
-    let (a, b): (Vec<char>, Vec<char>) = (a.chars().collect(), b.chars().collect());
-    let (short, long) = if a.len() <= b.len() {
-        (&a, &b)
-    } else {
-        (&b, &a)
-    };
+    by_units(a, b, levenshtein_units, levenshtein_units)
+}
+
+fn levenshtein_units<T: Eq>(a: &[T], b: &[T], w: &mut Work) -> usize {
+    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     if short.is_empty() {
         return long.len();
     }
-    let mut prev: Vec<usize> = (0..=short.len()).collect();
-    let mut cur = vec![0usize; short.len() + 1];
+    // One row over the shorter string, in two passes per row as in
+    // `align.rs`: substitution and deletion first, insertion second.
+    let (h, t) = (&mut w.h, &mut w.t);
+    h.clear();
+    h.extend(0..=short.len() as i32);
+    reset(t, short.len(), 0);
     for (i, lc) in long.iter().enumerate() {
-        cur[0] = i + 1;
-        for (j, sc) in short.iter().enumerate() {
-            let sub = prev[j] + usize::from(lc != sc);
-            cur[j + 1] = sub.min(prev[j + 1] + 1).min(cur[j] + 1);
+        for ((tj, hj), sc) in t.iter_mut().zip(h.windows(2)).zip(short) {
+            *tj = (hj[0] + i32::from(lc != sc)).min(hj[1] + 1);
         }
-        std::mem::swap(&mut prev, &mut cur);
+        let mut left = i as i32 + 1;
+        h[0] = left;
+        for (hj, &tj) in h[1..].iter_mut().zip(t.iter()) {
+            left = tj.min(left + 1);
+            *hj = left;
+        }
     }
-    prev[short.len()]
+    h[short.len()] as usize
 }
 
 /// Normalized Levenshtein similarity `1 - ED / max(|a|, |b|)` in `[0, 1]`.
 pub fn levenshtein_sim(a: &str, b: &str) -> f64 {
-    let max = a.chars().count().max(b.chars().count());
+    by_units(a, b, levenshtein_sim_units, levenshtein_sim_units)
+}
+
+fn levenshtein_sim_units<T: Eq>(a: &[T], b: &[T], w: &mut Work) -> f64 {
+    let max = a.len().max(b.len());
     if max == 0 {
         return 1.0;
     }
-    1.0 - levenshtein(a, b) as f64 / max as f64
+    1.0 - levenshtein_units(a, b, w) as f64 / max as f64
 }
 
 /// Jaro similarity in `[0, 1]`.
 pub fn jaro(a: &str, b: &str) -> f64 {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
+    by_units(a, b, jaro_units, jaro_units)
+}
+
+fn jaro_units<T: Eq>(a: &[T], b: &[T], w: &mut Work) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 1.0;
     }
@@ -46,48 +64,59 @@ pub fn jaro(a: &str, b: &str) -> f64 {
         return 0.0;
     }
     let window = (a.len().max(b.len()) / 2).saturating_sub(1);
-    let mut b_used = vec![false; b.len()];
-    let mut matches_a = Vec::new();
+    // Match flags as bitsets: a token-sized string resets one word.
+    let (used_a, used_b) = (&mut w.used_a, &mut w.used_b);
+    reset(used_a, a.len().div_ceil(64), 0);
+    reset(used_b, b.len().div_ceil(64), 0);
+    let mut m = 0usize;
     for (i, ca) in a.iter().enumerate() {
         let lo = i.saturating_sub(window);
         let hi = (i + window + 1).min(b.len());
         for j in lo..hi {
-            if !b_used[j] && b[j] == *ca {
-                b_used[j] = true;
-                matches_a.push(*ca);
+            if b[j] == *ca && used_b[j / 64] & (1 << (j % 64)) == 0 {
+                used_b[j / 64] |= 1 << (j % 64);
+                used_a[i / 64] |= 1 << (i % 64);
+                m += 1;
                 break;
             }
         }
     }
-    let m = matches_a.len();
     if m == 0 {
         return 0.0;
     }
-    let matches_b: Vec<char> = b
-        .iter()
-        .zip(b_used.iter())
-        .filter_map(|(c, used)| used.then_some(*c))
-        .collect();
-    let transpositions = matches_a
-        .iter()
-        .zip(matches_b.iter())
-        .filter(|(x, y)| x != y)
+    // Pair the k-th matched unit of `a` with the k-th matched unit of `b`.
+    let transpositions = set_bits(used_a)
+        .zip(set_bits(used_b))
+        .filter(|&(i, j)| a[i] != b[j])
         .count()
         / 2;
     let m = m as f64;
     (m / a.len() as f64 + m / b.len() as f64 + (m - transpositions as f64) / m) / 3.0
 }
 
+/// Positions of the set bits of a bitset, in increasing order.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(k, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                k * 64 + bit
+            })
+        })
+    })
+}
+
 /// Jaro-Winkler similarity with the standard prefix scale 0.1 and prefix cap
 /// of 4 characters.
 pub fn jaro_winkler(a: &str, b: &str) -> f64 {
-    let j = jaro(a, b);
-    let prefix = a
-        .chars()
-        .zip(b.chars())
-        .take(4)
-        .take_while(|(x, y)| x == y)
-        .count() as f64;
+    by_units(a, b, jaro_winkler_units, jaro_winkler_units)
+}
+
+pub(crate) fn jaro_winkler_units<T: Eq>(a: &[T], b: &[T], w: &mut Work) -> f64 {
+    let j = jaro_units(a, b, w);
+    let prefix = a.iter().zip(b).take(4).take_while(|(x, y)| x == y).count() as f64;
     j + prefix * 0.1 * (1.0 - j)
 }
 

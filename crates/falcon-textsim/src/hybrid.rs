@@ -1,29 +1,71 @@
 //! Hybrid token/character measures (Monge-Elkan).
 
-use crate::edit::jaro_winkler;
-use crate::tokenize::word_tokens;
+use crate::edit::jaro_winkler_units;
+use crate::scratch::{decode, with_scratch, Work};
+use crate::tokenize::word_tokens_into;
+use std::ops::Range;
 
 /// Monge-Elkan similarity: for each token of `a`, take the best
 /// Jaro-Winkler match among tokens of `b`, and average. Symmetrized by
 /// taking the max of both directions so `monge_elkan(a, b) ==
-/// monge_elkan(b, a)`.
+/// monge_elkan(b, a)`. Tokens are [`crate::tokenize::word_tokens`].
 pub fn monge_elkan(a: &str, b: &str) -> f64 {
-    let ta = word_tokens(a);
-    let tb = word_tokens(b);
-    if ta.is_empty() || tb.is_empty() {
-        return if ta.is_empty() && tb.is_empty() {
-            1.0
-        } else {
-            0.0
-        };
-    }
-    directional(&ta, &tb).max(directional(&tb, &ta))
+    with_scratch(|s| {
+        word_tokens_into(a, &mut s.text_a, &mut s.toks_a);
+        word_tokens_into(b, &mut s.text_b, &mut s.toks_b);
+        if s.toks_a.is_empty() || s.toks_b.is_empty() {
+            return if s.toks_a.is_empty() && s.toks_b.is_empty() {
+                1.0
+            } else {
+                0.0
+            };
+        }
+        if s.text_a.is_ascii() && s.text_b.is_ascii() {
+            let (ta, tb) = (s.text_a.as_bytes(), s.text_b.as_bytes());
+            return monge_elkan_units(ta, &s.toks_a, tb, &s.toks_b, &mut s.work);
+        }
+        to_char_ranges(&s.text_a, &mut s.toks_a, &mut s.a);
+        to_char_ranges(&s.text_b, &mut s.toks_b, &mut s.b);
+        monge_elkan_units(&s.a, &s.toks_a, &s.b, &s.toks_b, &mut s.work)
+    })
 }
 
-fn directional(xs: &[String], ys: &[String]) -> f64 {
+/// Decode `text` into `chars` and turn the byte ranges in `toks` into
+/// `char` ranges; the tokens are contiguous, so they stay in order.
+fn to_char_ranges(text: &str, toks: &mut [Range<usize>], chars: &mut Vec<char>) {
+    decode(text, chars);
+    let mut at = 0;
+    for r in toks.iter_mut() {
+        let n = text[r.clone()].chars().count();
+        *r = at..at + n;
+        at += n;
+    }
+}
+
+fn monge_elkan_units<T: Eq>(
+    a: &[T],
+    ta: &[Range<usize>],
+    b: &[T],
+    tb: &[Range<usize>],
+    w: &mut Work,
+) -> f64 {
+    directional(a, ta, b, tb, w).max(directional(b, tb, a, ta, w))
+}
+
+fn directional<T: Eq>(
+    x: &[T],
+    xs: &[Range<usize>],
+    y: &[T],
+    ys: &[Range<usize>],
+    w: &mut Work,
+) -> f64 {
     let total: f64 = xs
         .iter()
-        .map(|x| ys.iter().map(|y| jaro_winkler(x, y)).fold(0.0f64, f64::max))
+        .map(|xr| {
+            ys.iter()
+                .map(|yr| jaro_winkler_units(&x[xr.clone()], &y[yr.clone()], w))
+                .fold(0.0f64, f64::max)
+        })
         .sum();
     total / xs.len() as f64
 }

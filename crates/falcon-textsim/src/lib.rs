@@ -20,6 +20,7 @@ pub mod hybrid;
 pub mod numeric;
 pub mod prefix;
 pub mod profile;
+mod scratch;
 pub mod sets;
 pub mod tfidf;
 pub mod tokenize;

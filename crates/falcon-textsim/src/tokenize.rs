@@ -3,6 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
+use std::ops::Range;
 
 /// How a string attribute value is decomposed into tokens.
 ///
@@ -64,6 +65,31 @@ pub fn word_tokens(s: &str) -> Vec<String> {
         })
         .filter(|w| !w.is_empty())
         .collect()
+}
+
+/// The tokens of [`word_tokens`], written back to back into one reused
+/// buffer for the per-pair kernels: `text` holds the lowercased tokens and
+/// `toks` their byte ranges. Words split on Unicode whitespace, lose
+/// non-alphanumeric edges, and lowercase with `str::to_lowercase` (which
+/// maps a word-final `Σ` to `ς`); an ASCII word lowercases byte by byte,
+/// which gives the same text. `word_tokens` keeps its one-allocation-per-
+/// token form: building it on this buffer measured ~20% slower.
+pub(crate) fn word_tokens_into(s: &str, text: &mut String, toks: &mut Vec<Range<usize>>) {
+    text.clear();
+    toks.clear();
+    for w in s.split_whitespace() {
+        let w = w.trim_matches(|c: char| !c.is_alphanumeric());
+        if w.is_empty() {
+            continue;
+        }
+        let start = text.len();
+        if w.is_ascii() {
+            text.extend(w.bytes().map(|b| char::from(b.to_ascii_lowercase())));
+        } else {
+            text.push_str(&w.to_lowercase());
+        }
+        toks.push(start..text.len());
+    }
 }
 
 /// Character q-grams of the lowercased string. Strings shorter than `q`
